@@ -282,7 +282,8 @@ class MetricsRegistry:
         worker-side gauges mid-sweep. Gauges are *not* additive; the
         most recently merged cell wins, and ``worker`` records which
         worker wrote the surviving value (exposed as a ``worker`` label
-        in the Prometheus exposition). Names already claimed by a
+        in the Prometheus exposition; ``None`` means this process wrote
+        it and clears any earlier source). Names already claimed by a
         callable-backed gauge in this registry are skipped — a live
         parent-side view must not be overwritten by a dead snapshot.
         """
@@ -291,7 +292,9 @@ class MetricsRegistry:
             if existing is not None and existing._fn is not None:
                 continue
             self.set_gauge(name, value)
-            if worker is not None:
+            if worker is None:
+                self._gauge_sources.pop(name, None)
+            else:
                 self._gauge_sources[name] = worker
 
     def gauge_source(self, name: str) -> Optional[str]:

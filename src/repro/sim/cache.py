@@ -28,12 +28,6 @@ from ..types import (
     as_reference,
 )
 
-#: Minimum trace length before :meth:`CacheSimulator.run_fused` tries a
-#: policy's batch kernel. Short traces cannot amortize the batch path's
-#: setup (dense page-universe arrays plus the hotness probe), and the
-#: scalar kernels already run them in well under a millisecond.
-BATCH_MIN_REFS = 50_000
-
 
 class CacheSimulator:
     """Drive a replacement policy over a reference string.
@@ -192,14 +186,9 @@ class CacheSimulator:
           whole runs from a fresh state only);
         - the policy offers no kernel for its configuration.
 
-        Traces of at least :data:`BATCH_MIN_REFS` references first try
-        the policy's *batch kernel* (``make_batch_kernel``, see
-        :mod:`repro.policies.kernel`), which skips runs of hits between
-        misses with vectorized bookkeeping. A batch kernel may decline
-        at runtime — numpy absent, page ids unusable as dense indices,
-        or a hotness probe predicting batching would lose — in which
-        case the scalar kernel runs instead; both are decision-identical
-        so the choice is invisible in results.
+        There is exactly one fused engine per policy: the closure its
+        ``make_kernel(capacity)`` returns. It is decision-identical to
+        the object path, so which engine ran is invisible in results.
         """
         if (self.eviction_log is not None or self._provenance is not None
                 or self.clock.now != 0 or self.counter.total):
@@ -209,21 +198,13 @@ class CacheSimulator:
             return False
         if obs_trace.current() is not None:
             return False
-        result = None
-        if len(pages) >= BATCH_MIN_REFS:
-            batch_factory = getattr(self.policy, "make_batch_kernel", None)
-            if batch_factory is not None:
-                batch_kernel = batch_factory(self.capacity)
-                if batch_kernel is not None:
-                    result = batch_kernel(pages, warmup)
-        if result is None:
-            factory = getattr(self.policy, "make_kernel", None)
-            if factory is None:
-                return False
-            kernel = factory(self.capacity)
-            if kernel is None:
-                return False
-            result = kernel(pages, warmup)
+        factory = getattr(self.policy, "make_kernel", None)
+        if factory is None:
+            return False
+        kernel = factory(self.capacity)
+        if kernel is None:
+            return False
+        result = kernel(pages, warmup)
         self.clock.advance(result.now)
         self.warmup_counter = HitRatioCounter(hits=result.warmup_hits,
                                               misses=result.warmup_misses)

@@ -137,7 +137,8 @@ class _CellOutput:
     counter values, its histogram states (see
     :meth:`repro.obs.registry.MetricsRegistry.histogram_values`), and a
     snapshot of its non-callable gauges taken at cell exit (merged
-    last-write-wins with the worker pid as provenance). All ride the
+    last-write-wins with the worker pid as provenance, then replayed in
+    grid order when the grid finishes). All ride the
     existing pickle result channel — no extra IPC machinery.
     """
 
@@ -245,6 +246,10 @@ class _GridRun:
             if self.obs is not None else None)
         self.results: GridResults = {}
         self.failures: List[recovery.CellFailure] = []
+        #: Each relayed cell's gauge snapshot and writer, by
+        #: ``(capacity, spec index)``, for :meth:`settle_gauges`.
+        self.cell_gauges: Dict[Tuple[int, int],
+                               Tuple[Dict[str, float], Optional[str]]] = {}
 
     def track_progress(self, total: int) -> None:
         """Publish the grid's cell-completion gauges for live scrapes.
@@ -278,6 +283,43 @@ class _GridRun:
         if narrate:
             _narrate(_cell_line(capacity, label, result),
                      self.progress, self.observability)
+
+    def merge_metrics(self, capacity: int, index: int, output: _CellOutput,
+                      worker: Optional[str]) -> None:
+        """Fold one cell's relayed counters, histograms and gauges in.
+
+        Runs as each cell completes — not at sweep end — so a live
+        /metrics scrape sees them mid-sweep. Counters and histogram bin
+        counts are sums (order-independent, exact); only the histogram
+        mean's Chan merge is completion-order sensitive, and only in the
+        last ulp. Gauges merge last-write-wins here, which depends on
+        completion order, so the cell's snapshot is also kept for
+        :meth:`settle_gauges`.
+        """
+        registry = self.registry
+        if registry is None:
+            return
+        if output.counters:
+            registry.merge_counters(output.counters)
+        if output.histograms:
+            registry.merge_histograms(output.histograms)
+        if output.gauges:
+            registry.merge_gauges(output.gauges, worker=worker)
+            self.cell_gauges[(capacity, index)] = (output.gauges, worker)
+
+    def settle_gauges(self, order: Sequence[Tuple[int, int]]) -> None:
+        """Replay the relayed gauges in serial grid ``order``.
+
+        The final gauge values are then those of the grid-last cell that
+        set each gauge — what a serial sweep leaves behind — whichever
+        worker happened to finish last.
+        """
+        if self.registry is None:
+            return
+        for key in order:
+            relayed = self.cell_gauges.get(key)
+            if relayed is not None:
+                self.registry.merge_gauges(*relayed)
 
     def counter(self, name: str, amount: int = 1) -> None:
         if self.registry is not None and amount:
@@ -504,25 +546,13 @@ def _execute_resilient(run: _GridRun, remaining: Sequence[Tuple[int, int]],
         return ProcessPoolExecutor(max_workers=workers, mp_context=context)
 
     def absorb(flight: _Flight, output: _CellOutput) -> None:
-        # The observability side channels merge as each cell completes —
-        # not at sweep end — so a live /metrics scrape sees worker
-        # counters, histogram buckets, and gauges mid-sweep. Counters
-        # and histogram bin counts are sums (order-independent, exact);
-        # only the histogram mean's Chan merge is completion-order
-        # sensitive, and only in the last ulp.
         nonlocal crash_streak
         crash_streak = 0
         label = run.specs[flight.index].label
         if tracer is not None:
             _absorb_cell(tracer, output.spans, flight.capacity, label)
-        if run.registry is not None:
-            if output.counters:
-                run.registry.merge_counters(output.counters)
-            if output.histograms:
-                run.registry.merge_histograms(output.histograms)
-            if output.gauges:
-                run.registry.merge_gauges(output.gauges,
-                                          worker=str(output.worker_pid))
+        run.merge_metrics(flight.capacity, flight.index, output,
+                          worker=str(output.worker_pid))
         run.complete(flight.capacity, label, output.result)
 
     def requeue(flight: _Flight, kind: str, error: str,
@@ -650,16 +680,20 @@ def _execute_resilient(run: _GridRun, remaining: Sequence[Tuple[int, int]],
     # Graceful degradation: cells that exhausted their pool attempts run
     # in-process, serially, under the parent's full observability — a
     # clean traceback for broken cells and relief from the parallel
-    # memory pressure that kills OOM-prone ones.
+    # memory pressure that kills OOM-prone ones. Their metrics go to a
+    # cell-local registry merged like a worker's, so the gauges settle
+    # in grid order with the rest.
     for capacity, index in fallback:
         spec = run.specs[index]
+        local = MetricsRegistry() if run.registry is not None else None
         try:
             with obs_trace.maybe_span("cell", capacity=capacity,
                                       policy=spec.label, fallback=True):
                 result = run_paper_protocol(
                     workload, spec, capacity, warmup, measured, seed=seed,
                     repetitions=repetitions,
-                    observability=run.observability, trace_cache=cache)
+                    observability=run.observability, trace_cache=cache,
+                    metrics=local)
         except KeyboardInterrupt:
             raise run.salvage() from None
         except Exception as exc:
@@ -671,9 +705,15 @@ def _execute_resilient(run: _GridRun, remaining: Sequence[Tuple[int, int]],
                 attempts=run.retry.max_attempts + 1, kind=kind,
                 error=repr(exc)))
             continue
+        if local is not None:
+            run.merge_metrics(capacity, index, _CellOutput(
+                result=result, counters=local.counter_values(),
+                histograms=local.histogram_values(),
+                gauges=local.gauge_values()), worker=None)
         run.counter("sweep.cell.recovered")
         run.complete(capacity, spec.label, result)
 
+    run.settle_gauges(remaining)
     return run.finish()
 
 

@@ -1,24 +1,30 @@
 """Gauge relay from forked sweep workers: serial == --jobs N visibility."""
 
 import os
+from concurrent.futures import ALL_COMPLETED
 
 import pytest
 
 from repro.obs import EventDispatcher, MetricsRegistry
 from repro.sim import PolicySpec, fork_available, sweep_buffer_sizes
+from repro.sim import parallel
 from repro.workloads import ZipfianWorkload
 
 SPECS = [PolicySpec.lru(), PolicySpec.lruk(2)]
 
 
-def _sweep(jobs):
+def _sweep_cells(capacities, specs, jobs=1):
     dispatcher = EventDispatcher()
     dispatcher.metrics = MetricsRegistry()
     workload = ZipfianWorkload(n=100)
-    sweep_buffer_sizes(workload, SPECS, [8, 16], warmup=500,
+    sweep_buffer_sizes(workload, specs, capacities, warmup=500,
                        measured=1500, seed=3, repetitions=1, jobs=jobs,
                        observability=dispatcher)
     return dispatcher.metrics
+
+
+def _sweep(jobs):
+    return _sweep_cells([8, 16], SPECS, jobs=jobs)
 
 
 class TestGaugeRelay:
@@ -76,3 +82,30 @@ class TestGaugeRelay:
         assert 0.0 <= value <= 1.0
         assert fanned.snapshot()["sweep.cells_done"] == \
             serial.snapshot()["sweep.cells_done"]
+
+    @pytest.mark.skipif(not fork_available(),
+                        reason="parallel engine needs fork")
+    def test_final_gauges_follow_grid_order_not_completion_order(
+            self, monkeypatch):
+        """Cells completing in reverse grid order must still leave the
+        serial run's gauge values: the grid-last cell's, not whichever
+        worker finished last."""
+        real_wait = parallel.wait
+
+        def reversed_wait(window, timeout=None, return_when=None):
+            done, pending = real_wait(window, timeout=timeout,
+                                      return_when=ALL_COMPLETED)
+            flights = sorted(done, reverse=True,
+                             key=lambda future: (window[future].capacity,
+                                                 window[future].index))
+            return flights, pending
+
+        monkeypatch.setattr(parallel, "wait", reversed_wait)
+        serial = _sweep(jobs=1).gauge_values()
+        fanned = _sweep(jobs=4).gauge_values()
+        # The first cell's gauges differ from the last's, so a
+        # completion-order merge would be caught here.
+        first = _sweep_cells([8], [SPECS[0]]).gauge_values()
+        assert (first["protocol.last_run_evictions"]
+                != serial["protocol.last_run_evictions"])
+        assert fanned == serial

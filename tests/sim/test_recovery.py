@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import LRUKPolicy
 from repro.errors import ConfigurationError
 from repro.obs import CallbackSink, CellFailureEvent, EventDispatcher
 from repro.obs.registry import MetricsRegistry
@@ -352,6 +353,25 @@ class TestParallelRecovery:
             len(CAPACITIES)
         assert dispatcher.metrics.counter("sweep.cell.failures").value == 0
         assert any(e.action == "fallback" for e in _failure_events(events))
+
+    def test_fallback_cells_settle_gauges_in_grid_order(self):
+        """The grid-last cell runs in the fallback after every pool cell;
+        its gauges, not a pool cell's, must be the ones left behind, as
+        in the serial run."""
+        parent = os.getpid()
+
+        def parent_only(ctx):
+            if os.getpid() != parent:
+                raise RuntimeError("refuses to build in a worker")
+            return LRUKPolicy(k=2)
+
+        specs = [PolicySpec.lru(), PolicySpec("LRU-2", parent_only)]
+        fanned, _ = _observed()
+        _grid(jobs=2, specs=specs, observability=fanned,
+              retry=RetryPolicy(max_attempts=2, backoff_base=0.0))
+        serial, _ = _observed()
+        _grid(specs=specs, observability=serial)
+        assert fanned.metrics.gauge_values() == serial.metrics.gauge_values()
 
     def test_interrupt_with_hung_cell_salvages_promptly(self, monkeypatch):
         # Regression: the pool used to shut down with wait=True when a
