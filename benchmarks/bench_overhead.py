@@ -155,21 +155,6 @@ def _json_artifact_path() -> str:
 BENCH_JSON_VERSION = 6
 
 
-def _machine_block() -> dict:
-    """Identify the box a payload was measured on.
-
-    Perf numbers from different machines must never be compared as a
-    trend; the trajectory tooling uses this block to partition records
-    before diffing.
-    """
-    import platform
-    import socket
-
-    return {"hostname": socket.gethostname(),
-            "cpu_count": os.cpu_count() or 1,
-            "python": platform.python_version()}
-
-
 def _history_path() -> str:
     """The perf-trajectory ledger lives next to the JSON artifact."""
     return os.environ.get(
@@ -190,7 +175,7 @@ def _merge_json_artifact(payload: dict) -> None:
             record = {}
     record.update(payload)
     record["version"] = BENCH_JSON_VERSION
-    record["machine"] = _machine_block()
+    record["machine"] = obs_perf.machine_block()
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(record, handle, indent=2, sort_keys=True)
         handle.write("\n")

@@ -13,6 +13,12 @@ module gives the benches an append-only ledger:
   references/second) regresses beyond a threshold — the trajectory
   counterpart of CI's absolute ``lruk_kernel >= 1.5x lruk_heap`` gate.
 
+Every record names the machine it was measured on (a ``machine`` block:
+hostname, core count, Python version), and the baseline window holds
+only records from the latest record's machine: a throughput measured on
+a slower host is not a regression of the code. Records written before
+the block existed count as one unknown machine.
+
 Records whose metric is ``null`` (e.g. the A12d speedup on a
 single-core machine, which records a ``skipped_reason`` instead of a
 measurement) are skipped by both the baseline window and the verdict,
@@ -23,10 +29,12 @@ from __future__ import annotations
 
 import json
 import os
+import platform
+import socket
 import time
 from dataclasses import dataclass, field
 from statistics import median
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..errors import ConfigurationError
 
@@ -36,6 +44,7 @@ __all__ = [
     "append_record",
     "load_history",
     "check_regression",
+    "machine_block",
     "render_report",
     "default_history_path",
 ]
@@ -53,6 +62,13 @@ def default_history_path() -> str:
     return os.environ.get("REPRO_BENCH_HISTORY", HISTORY_FILENAME)
 
 
+def machine_block() -> Dict[str, object]:
+    """Identify the machine a measurement is taken on."""
+    return {"hostname": socket.gethostname(),
+            "cpu_count": os.cpu_count() or 1,
+            "python": platform.python_version()}
+
+
 def append_record(path: str, bench: str,
                   metrics: Dict[str, Optional[float]],
                   meta: Optional[Dict[str, object]] = None,
@@ -61,10 +77,12 @@ def append_record(path: str, bench: str,
 
     ``metrics`` maps metric name to a number or ``None`` (= the bench
     ran but could not measure this quantity here; see module docstring).
-    ``meta`` carries environment context (core count, commit, scale) —
-    anything a future reader needs to judge comparability. The record is
-    written with one ``write`` call after the line is fully serialized,
-    so a crash mid-append cannot leave a torn line before valid ones.
+    ``meta`` carries run context (core count, commit, scale) — anything
+    a future reader needs to judge comparability. The record names this
+    host in a :func:`machine_block`, which decides what it is compared
+    with. The record is written with one ``write`` call after the line
+    is fully serialized, so a crash mid-append cannot leave a torn line
+    before valid ones.
     """
     if not bench:
         raise ConfigurationError("history records need a bench name")
@@ -75,6 +93,7 @@ def append_record(path: str, bench: str,
             "%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "metrics": {name: (None if value is None else float(value))
                     for name, value in metrics.items()},
+        "machine": machine_block(),
     }
     if meta:
         record["meta"] = dict(meta)
@@ -116,6 +135,23 @@ def load_history(path: str, bench: Optional[str] = None
     return records
 
 
+def _machine_key(record: Dict[str, object]
+                 ) -> Optional[Tuple[Tuple[str, str], ...]]:
+    """A hashable machine identity; None for records without one."""
+    machine = record.get("machine")
+    if not isinstance(machine, dict):
+        return None
+    return tuple(sorted((str(key), str(value))
+                        for key, value in machine.items()))
+
+
+def _machine_name(record: Dict[str, object]) -> str:
+    machine = record.get("machine")
+    if isinstance(machine, dict):
+        return str(machine.get("hostname", "?"))
+    return "unknown machine"
+
+
 def _metric_value(record: Dict[str, object],
                   metric: str) -> Optional[float]:
     metrics = record.get("metrics")
@@ -134,8 +170,9 @@ class PerfVerdict:
     - ``"ok"`` — the latest measurement is within threshold of (or
       better than) the baseline window's median;
     - ``"regression"`` — it fell more than ``threshold`` below it;
-    - ``"insufficient"`` — no baseline window exists yet (fewer than
-      two measured records), so there is nothing to diff against;
+    - ``"insufficient"`` — no baseline window exists yet (no earlier
+      measured record from the latest record's machine), so there is
+      nothing to diff against;
     - ``"skipped"`` — the latest record carries no measurement for this
       metric (a ``null`` row).
 
@@ -170,8 +207,9 @@ def check_regression(records: List[Dict[str, object]], metric: str,
     """Diff the newest record's ``metric`` against a baseline window.
 
     The baseline is the *median* of up to ``window`` measured (non-null)
-    values preceding the latest record — the median shrugs off a single
-    anomalously fast or slow historical run that a mean would chase.
+    values preceding the latest record on the same machine — the median
+    shrugs off a single anomalously fast or slow historical run that a
+    mean would chase, and records from other machines are set aside.
     A regression is ``latest < (1 - threshold) * baseline``. Higher is
     assumed better (the ledger records throughputs and speedups).
     """
@@ -189,16 +227,25 @@ def check_regression(records: List[Dict[str, object]], metric: str,
             status="skipped", metric=metric, threshold=threshold,
             message=f"latest record has no measurement for {metric!r} "
                     "(null row); nothing to judge")
-    earlier = [value for value in
-               (_metric_value(record, metric) for record in records[:-1])
-               if value is not None]
+    machine = _machine_key(records[-1])
+    earlier: List[float] = []
+    elsewhere = 0
+    for record in records[:-1]:
+        value = _metric_value(record, metric)
+        if value is None:
+            continue
+        if _machine_key(record) != machine:
+            elsewhere += 1
+            continue
+        earlier.append(value)
     window_values = earlier[-window:]
     if not window_values:
         return PerfVerdict(
             status="insufficient", metric=metric, threshold=threshold,
             latest=latest,
-            message=f"no earlier measured records for {metric!r}: "
-                    "baseline window is empty")
+            message=f"no earlier measured records for {metric!r} on "
+                    f"{_machine_name(records[-1])} ({elsewhere} from other "
+                    "machines set aside): baseline window is empty")
     baseline = float(median(window_values))
     verdict = PerfVerdict(status="ok", metric=metric, threshold=threshold,
                           latest=latest, baseline=baseline,
@@ -247,7 +294,8 @@ def render_report(records: List[Dict[str, object]], verdict: PerfVerdict,
         meta = record.get("meta")
         if value is None and isinstance(meta, dict):
             note = f"  [{meta.get('skipped_reason', 'unmeasured')}]"
-        lines.append(f"  {stamp}  {rendered}{note}")
+        lines.append(f"  {stamp}  {rendered}  {_machine_name(record)}"
+                     f"{note}")
         if value is not None:
             values.append(value)
     if len(values) >= 2:

@@ -143,6 +143,20 @@ class ReplacementPolicy(abc.ABC):
         """
         return None
 
+    def hit_curve(self, pages: Sequence[PageId], warmup: int,
+                  max_capacity: int):
+        """Return this policy's hits at every capacity on a trace, or None.
+
+        A curve is a :class:`repro.policies.kernel.HitCurve`: the
+        measurement-window hit count after ``warmup`` references of
+        ``pages``, from a fresh buffer, at each capacity from 1 to
+        ``max_capacity`` — what one :func:`repro.sim.measure_hit_ratio`
+        run per capacity would count. Only stack algorithms can answer
+        for every capacity from one pass; the default — no curve —
+        leaves callers to simulate each capacity they need.
+        """
+        return None
+
     def reset(self) -> None:
         """Forget everything (fresh run). Subclasses extend."""
         self._resident.clear()

@@ -40,6 +40,20 @@ The contract every kernel must honour:
 
 ``make_kernel(capacity)`` returns either ``None`` (no kernel for this
 configuration) or a callable ``kernel(pages, warmup) -> KernelResult``.
+
+Hit curves
+----------
+
+LRU is a *stack algorithm* (Mattson et al., "Evaluation techniques for
+storage hierarchies", IBM Sys. J. 1970): at every instant, the pages a
+buffer of ``c`` frames holds are the ``c`` most recently referenced
+distinct pages, so a smaller buffer's contents are always a subset of a
+larger one's. A reference hits at capacity ``c`` exactly when its *stack
+distance* — one plus the number of distinct pages referenced since the
+page's previous reference — is at most ``c``. :func:`lru_hit_curve`
+measures every stack distance in one pass and so yields the
+measurement-window hit count at every capacity at once
+(:class:`HitCurve`), where a kernel yields it at one.
 """
 
 from __future__ import annotations
@@ -47,12 +61,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence
 
-from ..errors import NoEvictableFrameError
+from ..errors import ConfigurationError, NoEvictableFrameError
 from ..types import PageId
 
 __all__ = [
+    "HitCurve",
     "KernelResult",
     "SimulationKernel",
+    "lru_hit_curve",
     "make_clock_kernel",
     "make_fifo_kernel",
     "make_lru_kernel",
@@ -126,6 +142,93 @@ def make_lru_kernel(policy, capacity: int) -> Optional[SimulationKernel]:
                             evictions, admitted, t)
 
     return kernel
+
+
+@dataclass(frozen=True)
+class HitCurve:
+    """Measurement-window hit counts of a stack algorithm at every capacity.
+
+    ``cumulative[c]`` is the hit count at capacity ``c`` for ``c`` from 0
+    up to the trace's distinct page count (capped at ``max_capacity``).
+    No stack distance is deeper than that count, so a larger capacity
+    hits no more often and :meth:`hits` keeps the last value for it.
+    """
+
+    #: References in the measurement window (hits + misses at any capacity).
+    measured: int
+    #: Largest capacity the curve answers for.
+    max_capacity: int
+    #: Hit counts at capacities 0, 1, ..., min(distinct pages, max_capacity).
+    cumulative: Sequence[int]
+
+    def hits(self, capacity: int) -> int:
+        """Measurement-window hits of a ``capacity``-frame buffer."""
+        if not 1 <= capacity <= self.max_capacity:
+            raise ConfigurationError(
+                f"capacity {capacity} outside the curve's range "
+                f"1..{self.max_capacity}")
+        deepest = len(self.cumulative) - 1
+        return self.cumulative[capacity if capacity < deepest else deepest]
+
+    def misses(self, capacity: int) -> int:
+        """Measurement-window misses of a ``capacity``-frame buffer."""
+        return self.measured - self.hits(capacity)
+
+
+def lru_hit_curve(pages: Sequence[PageId], warmup: int,
+                  max_capacity: int) -> HitCurve:
+    """LRU's measurement-window hits at every capacity, in one pass.
+
+    A Fenwick tree over reference times marks each page's most recent
+    reference; the marks after a page's previous reference count the
+    distinct pages referenced since, so its stack distance is that count
+    plus one (first references have none: they miss at every capacity).
+    Each reference after ``warmup`` adds to a histogram of distances,
+    whose prefix sums are the hit counts. The pass costs O(n log n) for
+    n references and O(n) memory, whatever ``max_capacity`` is.
+    """
+    if max_capacity < 1:
+        raise ConfigurationError("max_capacity must be positive")
+    size = len(pages)
+    tree = [0] * (size + 1)
+    last: Dict[PageId, int] = {}
+    # histogram[d]: measured references at stack distance d. A distance
+    # never exceeds the distinct pages seen, so it grows with them.
+    histogram = [0]
+    distinct = 0
+    position = 0
+    for page in pages:
+        position += 1
+        previous = last.get(page)
+        if previous is None:
+            distinct += 1
+            histogram.append(0)
+        else:
+            # Marks at or before `previous` (its own included).
+            index = previous
+            before = 0
+            while index:
+                before += tree[index]
+                index &= index - 1
+            if position > warmup:
+                histogram[distinct - before + 1] += 1
+            index = previous
+            while index <= size:
+                tree[index] -= 1
+                index += index & -index
+        last[page] = position
+        index = position
+        while index <= size:
+            tree[index] += 1
+            index += index & -index
+    depth = min(len(histogram) - 1, max_capacity)
+    cumulative = [0] * (depth + 1)
+    running = 0
+    for distance in range(1, depth + 1):
+        running += histogram[distance]
+        cumulative[distance] = running
+    return HitCurve(measured=max(0, size - warmup),
+                    max_capacity=max_capacity, cumulative=cumulative)
 
 
 def make_fifo_kernel(policy, capacity: int) -> Optional[SimulationKernel]:

@@ -54,6 +54,10 @@ class LRUPolicy(ReplacementPolicy):
         from .kernel import make_lru_kernel
         return make_lru_kernel(self, capacity)
 
+    def hit_curve(self, pages, warmup: int, max_capacity: int):
+        from .kernel import lru_hit_curve
+        return lru_hit_curve(pages, warmup, max_capacity)
+
     def reset(self) -> None:
         super().reset()
         self._order.clear()

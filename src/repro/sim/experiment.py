@@ -18,7 +18,8 @@ from ..errors import ConfigurationError, SimulationError
 from ..obs.dispatcher import EventDispatcher
 from ..workloads.base import Workload
 from . import recovery
-from .equi_effective import equi_effective_buffer_size
+from .equi_effective import BaselineEvaluator, equi_effective_buffer_size
+# run_paper_protocol is re-exported: profilers wrap it under this name.
 from .runner import PolicySpec, run_paper_protocol
 from .sweep import SweepCell, sweep_buffer_sizes
 from .tables import Table
@@ -104,8 +105,9 @@ def run_experiment(spec: ExperimentSpec,
                    ) -> ExperimentResult:
     """Execute a spec: sweep all cells, then derive B(1)/B(2) per row.
 
-    One trace cache backs the whole experiment: the sweep grid and every
-    equi-effective probe replay the same materialized reference strings.
+    One trace cache backs the whole experiment: the sweep grid and the
+    equi-effective search (its hit curves, or its probes for a baseline
+    without a curve) read the same materialized reference strings.
     The cache is scoped to this call — cleared on the way out, success or
     failure, so a long-lived process running many experiments does not
     pin every workload's traces forever.
@@ -138,23 +140,20 @@ def _run_experiment(spec: ExperimentSpec,
     result = ExperimentResult(spec=spec, cells=cells)
     if spec.equi_effective is not None:
         baseline_label, improved_label = spec.equi_effective
-        baseline_spec = spec.spec_by_label(baseline_label)
         high = (spec.equi_effective_high
                 if spec.equi_effective_high is not None
                 else 64 * max(spec.capacities))
-        # Baseline hit ratios are reusable across rows: cache by capacity.
-        cache: Dict[int, float] = {
-            cell.capacity: cell.hit_ratio(baseline_label) for cell in cells}
-
-        def evaluate(capacity: int) -> float:
-            if capacity not in cache:
-                run = run_paper_protocol(
-                    spec.workload, baseline_spec, capacity,
-                    spec.warmup, spec.measured,
-                    seed=spec.seed, repetitions=spec.repetitions,
-                    observability=observability, trace_cache=trace_cache)
-                cache[capacity] = run.hit_ratio
-            return cache[capacity]
+        # One evaluator serves every row's search. It starts from the
+        # sweep's baseline column; the first capacity beyond it builds
+        # the baseline's hit curves (inside the search, so the curve pass
+        # times as part of it), or falls back to protocol probes.
+        evaluate = BaselineEvaluator(
+            spec.workload, spec.spec_by_label(baseline_label),
+            spec.warmup, spec.measured, high, seed=spec.seed,
+            repetitions=spec.repetitions, observability=observability,
+            trace_cache=trace_cache,
+            known={cell.capacity: cell.hit_ratio(baseline_label)
+                   for cell in cells})
 
         for cell in cells:
             target = cell.hit_ratio(improved_label)

@@ -7,7 +7,19 @@ import pytest
 from repro.cli import main
 from repro.errors import ConfigurationError
 from repro.obs import append_record, check_regression, load_history
-from repro.obs.perf import HISTORY_SCHEMA, default_history_path, render_report
+from repro.obs import perf
+from repro.obs.perf import (
+    HISTORY_SCHEMA,
+    default_history_path,
+    machine_block,
+    render_report,
+)
+
+
+def _append_on(monkeypatch, machine, path, value):
+    """Append an ``lruk_kernel`` record as if measured on ``machine``."""
+    monkeypatch.setattr(perf, "machine_block", lambda: dict(machine))
+    append_record(str(path), "a12c", {"lruk_kernel": value})
 
 
 def _seed(path, values, bench="a12c", metric="lruk_kernel"):
@@ -130,6 +142,52 @@ class TestVerdicts:
         verdict = check_regression(load_history(str(path)), "lruk_kernel")
         assert verdict.status == "ok"
         assert verdict.window_values == [1000.0, 1010.0]
+
+    def test_records_carry_the_machine(self, tmp_path):
+        path = tmp_path / "h.jsonl"
+        record = append_record(str(path), "a12c", {"m": 1.0})
+        assert record["machine"] == machine_block()
+        assert set(record["machine"]) == {"hostname", "cpu_count", "python"}
+
+    def test_cross_host_record_is_not_a_regression(self, tmp_path,
+                                                   monkeypatch):
+        path = tmp_path / "h.jsonl"
+        fast = {"hostname": "fast", "cpu_count": 8, "python": "3.11.7"}
+        slow = {"hostname": "slow", "cpu_count": 2, "python": "3.11.7"}
+        for value in (800.0, 810.0, 790.0):
+            _append_on(monkeypatch, fast, path, value)
+        _append_on(monkeypatch, slow, path, 296.0)
+        verdict = check_regression(load_history(str(path)), "lruk_kernel")
+        assert verdict.status == "insufficient"
+        assert verdict.exit_code == 0
+        assert "slow" in verdict.message and "3 from other" in verdict.message
+
+    def test_same_host_regression_still_fails(self, tmp_path, monkeypatch):
+        path = tmp_path / "h.jsonl"
+        host = {"hostname": "box", "cpu_count": 2, "python": "3.11.7"}
+        other = {"hostname": "other", "cpu_count": 2, "python": "3.11.7"}
+        for value in (1000.0, 1000.0):
+            _append_on(monkeypatch, host, path, value)
+        # A slow foreign record between them joins neither side.
+        _append_on(monkeypatch, other, path, 100.0)
+        _append_on(monkeypatch, host, path, 850.0)
+        verdict = check_regression(load_history(str(path)), "lruk_kernel")
+        assert verdict.status == "regression"
+        assert verdict.window_values == [1000.0, 1000.0]
+        assert verdict.exit_code == 1
+
+    def test_legacy_records_count_as_one_unknown_machine(self, tmp_path):
+        path = tmp_path / "h.jsonl"
+        with open(path, "w", encoding="utf-8") as handle:
+            for value in (1000.0, 1000.0, 800.0):
+                handle.write(json.dumps(
+                    {"schema": HISTORY_SCHEMA, "bench": "a12c",
+                     "metrics": {"lruk_kernel": value}}) + "\n")
+        verdict = check_regression(load_history(str(path)), "lruk_kernel")
+        assert verdict.status == "regression"
+        append_record(str(path), "a12c", {"lruk_kernel": 10.0})
+        verdict = check_regression(load_history(str(path)), "lruk_kernel")
+        assert verdict.status == "insufficient"
 
     def test_parameter_validation(self):
         with pytest.raises(ConfigurationError):
